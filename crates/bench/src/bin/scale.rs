@@ -7,7 +7,7 @@
 //! Usage: `cargo run --release -p bench-harness --bin scale
 //! [-- --max N] [-- --json PATH] [-- --budget-ms MS]
 //! [-- --budget-bdd-nodes N] [-- --server-bench] [-- --workers N]
-//! [-- --cache-bench] [-- --unfold-threads N]`
+//! [-- --cache-bench]`
 //!
 //! With `--budget-ms` each point's unfolding + IP run gets a
 //! wall-clock allowance; aborted points are recorded, not fatal.
@@ -27,12 +27,6 @@
 //! unfolding work (`warm_events_built = 0`); the comparison lands in
 //! the JSON artifact under `"cache_bench"`.
 //!
-//! With `--unfold-threads N` (N > 1) every counterflow width's
-//! prefix is built serially and with an N-worker discovery pool, the
-//! two builds are checked event-for-event identical, and the honest
-//! wall-clock ratio (typically < 1 on a single-CPU container) lands
-//! in the JSON artifact under `"unfold_bench"`.
-//!
 //! With `--counterflow` the sweep also runs the BDD
 //! memory-management comparison (symbolic CSC with GC + auto-reorder
 //! on vs off, peak live nodes and gc/reorder counters), recorded
@@ -46,7 +40,7 @@ use std::time::Duration;
 
 use bench_harness::{
     run_bdd_bench, run_cache_bench, run_scale, run_scale_counterflow, run_server_bench,
-    run_unfold_bench, scale_artifact_json, Budget,
+    scale_artifact_json, Budget,
 };
 
 fn main() {
@@ -244,45 +238,10 @@ fn main() {
         Vec::new()
     };
 
-    let unfold_threads: usize = args
-        .windows(2)
-        .find(|w| w[0] == "--unfold-threads")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(1);
-    let ub_points = if unfold_threads > 1 {
-        let widths: Vec<usize> = (1..=max).collect();
-        let ub = run_unfold_bench(&widths, 2, unfold_threads);
-        println!();
-        println!(
-            "{:>3} | {:>7} | {:>10} {:>12} | {:>7} | {:>6} | identical",
-            "n", "threads", "serial[ms]", "parallel[ms]", "speedup", "|E|"
-        );
-        println!("{}", "-".repeat(68));
-        for p in &ub {
-            println!(
-                "{:>3} | {:>7} | {:>10.2} {:>12.2} | {:>6.2}x | {:>6} | {}",
-                p.n,
-                p.unfold_threads,
-                p.serial_ms,
-                p.parallel_ms,
-                p.speedup,
-                p.events,
-                if p.identical { "yes" } else { "DIVERGED" },
-            );
-        }
-        assert!(
-            ub.iter().all(|p| p.identical),
-            "parallel prefix construction must be bit-identical to serial"
-        );
-        ub
-    } else {
-        Vec::new()
-    };
-
     if let Some(path) = json_path {
         fs::write(
             &path,
-            scale_artifact_json(&points, &sb_points, &cb_points, &bdd_points, &ub_points),
+            scale_artifact_json(&points, &sb_points, &cb_points, &bdd_points),
         )
         .expect("write json");
         eprintln!("wrote {path}");

@@ -165,7 +165,6 @@ pub struct CheckRequest<'a> {
     budget: Budget,
     prelint: bool,
     structure: bool,
-    unfold_threads: Option<usize>,
 }
 
 impl<'a> CheckRequest<'a> {
@@ -180,7 +179,6 @@ impl<'a> CheckRequest<'a> {
             budget: Budget::unlimited(),
             prelint: false,
             structure: false,
-            unfold_threads: None,
         }
     }
 
@@ -193,19 +191,6 @@ impl<'a> CheckRequest<'a> {
     /// Sets the resource budget.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the worker count for parallel possible-extensions
-    /// discovery during prefix construction (engines that unfold:
-    /// `UnfoldingIlp`, `Portfolio`, and the unfolding racer of
-    /// `Race`). The prefix is bit-identical for every thread count —
-    /// see [`unfolding::UnfoldOptions::threads`] — so this knob only
-    /// affects wall-clock time, never verdicts or cached artifacts.
-    /// `0` means auto-detect from available parallelism; unset keeps
-    /// the serial default.
-    pub fn unfold_threads(mut self, threads: usize) -> Self {
-        self.unfold_threads = Some(threads);
         self
     }
 
@@ -384,13 +369,13 @@ impl<'a> CheckRequest<'a> {
 
     /// Runs the requested engine under the check's `guard`.
     fn dispatch(&self, artifacts: &Artifacts, guard: &StopGuard) -> Result<CheckRun, CheckError> {
-        let (property, budget, threads) = (self.property, &self.budget, self.unfold_threads);
+        let (property, budget) = (self.property, &self.budget);
         let outcome = catch_unwind(AssertUnwindSafe(|| match self.engine {
-            Engine::UnfoldingIlp => run_unfolding(artifacts, property, budget, threads, guard),
+            Engine::UnfoldingIlp => run_unfolding(artifacts, property, budget, guard),
             Engine::ExplicitStateGraph => run_explicit(artifacts, property, budget, guard),
             Engine::SymbolicBdd => run_symbolic(artifacts, property, budget, guard),
-            Engine::Portfolio => run_portfolio(artifacts, property, budget, threads, guard),
-            Engine::Race => run_race(artifacts, property, budget, threads, guard),
+            Engine::Portfolio => run_portfolio(artifacts, property, budget, guard),
+            Engine::Race => run_race(artifacts, property, budget, guard),
             Engine::Cegar => run_cegar(artifacts, property, budget, guard),
         }));
         match outcome {
@@ -522,7 +507,6 @@ fn run_unfolding(
     artifacts: &Artifacts,
     property: Property,
     budget: &Budget,
-    unfold_threads: Option<usize>,
     guard: &StopGuard,
 ) -> EngineOutcome {
     let start = Instant::now();
@@ -530,9 +514,6 @@ fn run_unfolding(
     let mut options = CheckerOptions::default();
     if let Some(n) = budget.max_events {
         options.unfold.max_events = n;
-    }
-    if let Some(n) = unfold_threads {
-        options.unfold = options.unfold.threads(n);
     }
     if let Some(n) = budget.max_solver_steps {
         options.solver.max_steps = n;
@@ -556,10 +537,6 @@ fn run_unfolding(
     report.prefix_events = Some(artifact.prefix.num_events());
     report.prefix_conditions = Some(artifact.prefix.num_conditions());
     report.prefix_events_built = Some(built);
-    // When the prefix came from the artifact cache these stats
-    // describe its *original* construction, not this request's
-    // thread setting — the prefix is bit-identical either way.
-    report.unfold = Some(artifact.prefix.unfold_stats());
     let checker = Checker::from_artifact(
         artifacts.stg(),
         Arc::clone(&artifact.prefix),
@@ -784,11 +761,10 @@ fn run_portfolio(
     artifacts: &Artifacts,
     property: Property,
     budget: &Budget,
-    unfold_threads: Option<usize>,
     guard: &StopGuard,
 ) -> EngineOutcome {
     let start = Instant::now();
-    let (verdict, mut report) = run_unfolding(artifacts, property, budget, unfold_threads, guard)?;
+    let (verdict, mut report) = run_unfolding(artifacts, property, budget, guard)?;
     report.engine = "portfolio";
     if !verdict.is_unknown() {
         report.winner = Some("unfolding-ilp");
@@ -861,7 +837,6 @@ fn run_race(
     artifacts: &Artifacts,
     property: Property,
     budget: &Budget,
-    unfold_threads: Option<usize>,
     guard: &StopGuard,
 ) -> EngineOutcome {
     use std::sync::mpsc;
@@ -889,13 +864,9 @@ fn run_race(
             };
             scope.spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| match engine {
-                    Engine::UnfoldingIlp => run_unfolding(
-                        artifacts,
-                        property,
-                        race_budget,
-                        unfold_threads,
-                        &racer_guard,
-                    ),
+                    Engine::UnfoldingIlp => {
+                        run_unfolding(artifacts, property, race_budget, &racer_guard)
+                    }
                     Engine::ExplicitStateGraph => {
                         run_explicit(artifacts, property, race_budget, &racer_guard)
                     }
@@ -992,7 +963,6 @@ fn merge_racer_report(aggregate: &mut ResourceReport, racer: &ResourceReport) {
         aggregate.bdd = racer.bdd.clone();
     }
     aggregate.cegar = aggregate.cegar.or(racer.cegar);
-    aggregate.unfold = aggregate.unfold.or(racer.unfold);
     aggregate.structure = aggregate.structure.or(racer.structure);
 }
 

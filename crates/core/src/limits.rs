@@ -327,14 +327,6 @@ pub struct ResourceReport {
     /// Counters of the CEGAR state-equation engine (iterations, cuts,
     /// branch nodes, …). `None` for every other engine.
     pub cegar: Option<CegarStats>,
-    /// Counters of the unfolding stage the prefix this run used was
-    /// built with (possible extensions discovered/committed, discovery
-    /// worker count, parallel-vs-serial wall-clock split). When the
-    /// prefix was reused from a shared [`crate::artifact::Artifacts`]
-    /// cache these describe the *original* construction — the run
-    /// itself built `prefix_events_built = 0` events. `None` for
-    /// engines that never touched the unfolding stage.
-    pub unfold: Option<unfolding::UnfoldStats>,
 }
 
 /// Summary of a structural net-class pass attached to a
@@ -421,7 +413,6 @@ impl ResourceReport {
             lint: None,
             structure: None,
             cegar: None,
-            unfold: None,
         }
     }
 }

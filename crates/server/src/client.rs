@@ -176,18 +176,6 @@ impl CheckResponse {
             .filter(|v| !v.is_null())
     }
 
-    /// The revision-7 `report.unfold` counter block
-    /// (`pe_discovered`, `pe_commits`, `workers`, `par_ms`,
-    /// `serial_ms`), when the job's engine built an unfolding prefix.
-    /// `None` on older revisions and for engines that never unfold,
-    /// so callers need no protocol-version branch of their own.
-    pub fn unfold_stats(&self) -> Option<&Value> {
-        self.raw
-            .get("report")
-            .and_then(|r| r.get("unfold"))
-            .filter(|v| !v.is_null())
-    }
-
     /// The revision-8 `report.structure` summary object (the detected
     /// net `class`, the individual class flags, `exact`,
     /// `concurrent_place_pairs`, `locked_signal_pairs`, `proved`),

@@ -373,13 +373,8 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
 /// `equations`, per-stage report blocks (`stages`, `resolve`,
 /// `recheck_prefix_events_built`), and failed resolutions are
 /// reported with the stable `resolve_failed` error code (permanent —
-/// clients must not retry it). Revision 7 added the optional
-/// `report.unfold` counter block describing how the finite complete
-/// prefix was constructed (`pe_discovered`, `pe_commits`, `workers`,
-/// `par_ms`, `serial_ms`) and the server's `--unfold-threads` knob;
-/// the prefix itself is bit-identical for every worker count, so the
-/// block is purely observational and older clients that ignore
-/// unknown members keep working unchanged.
+/// clients must not retry it). Revision 7 added an optional
+/// `report.unfold` counter block for parallel prefix construction.
 /// Revision 8 added the optional `report.structure` block describing
 /// the structural net-class pass that now fronts every check (the
 /// detected `class` plus the individual class flags, whether the
@@ -391,7 +386,8 @@ pub fn encode_synthesize_request(request: &SynthesizeRequest) -> String {
 /// candidate generation and its structural-concurrency pruning).
 /// The block is null for jobs that skipped the pass, so older clients
 /// that ignore unknown members keep working unchanged.
-pub const PROTO_VERSION: u64 = 8;
+/// Revision 9 removed `report.unfold` and the `--unfold-threads` knob.
+pub const PROTO_VERSION: u64 = 9;
 
 /// Encodes the verdict response for a completed check.
 pub fn encode_check_response(id: &str, stg: &Stg, run: &CheckRun) -> String {
@@ -753,25 +749,6 @@ fn encode_report(report: &ResourceReport) -> Value {
             },
         ),
         (
-            "unfold".to_owned(),
-            match &report.unfold {
-                None => Value::Null,
-                Some(stats) => Value::Obj(vec![
-                    ("pe_discovered".to_owned(), Value::from(stats.pe_discovered)),
-                    ("pe_commits".to_owned(), Value::from(stats.pe_commits)),
-                    ("workers".to_owned(), Value::from(u64::from(stats.workers))),
-                    (
-                        "par_ms".to_owned(),
-                        Value::from(stats.par_time.as_secs_f64() * 1e3),
-                    ),
-                    (
-                        "serial_ms".to_owned(),
-                        Value::from(stats.serial_time.as_secs_f64() * 1e3),
-                    ),
-                ]),
-            },
-        ),
-        (
             "bdd".to_owned(),
             match &report.bdd {
                 None => Value::Null,
@@ -1084,43 +1061,6 @@ mod tests {
             .get("targets")
             .and_then(Value::as_u64)
             .is_some_and(|n| n > 0));
-    }
-
-    #[test]
-    fn unfolding_responses_carry_the_revision_7_counter_block() {
-        let stg = vme_read();
-        let run = csc_core::CheckRequest::new(&stg, Property::Csc)
-            .engine(Engine::UnfoldingIlp)
-            .unfold_threads(2)
-            .run()
-            .unwrap();
-        let line = encode_check_response("j12", &stg, &run);
-        let v = json::parse(&line).unwrap();
-        let report = v.get("report").expect("report present");
-        let unfold = report.get("unfold").expect("unfold block present");
-        assert!(unfold
-            .get("pe_discovered")
-            .and_then(Value::as_u64)
-            .is_some_and(|n| n > 0));
-        assert!(unfold
-            .get("pe_commits")
-            .and_then(Value::as_u64)
-            .is_some_and(|n| n > 0));
-        assert_eq!(unfold.get("workers").and_then(Value::as_u64), Some(2));
-        assert!(unfold.get("par_ms").and_then(Value::as_f64).is_some());
-        assert!(unfold.get("serial_ms").and_then(Value::as_f64).is_some());
-        // Engines that never unfold answer with a null block, so
-        // clients need no protocol-version branch.
-        let run = csc_core::CheckRequest::new(&stg, Property::Usc)
-            .engine(Engine::Cegar)
-            .run()
-            .unwrap();
-        let line = encode_check_response("j13", &stg, &run);
-        let v = json::parse(&line).unwrap();
-        assert!(v
-            .get("report")
-            .and_then(|r| r.get("unfold"))
-            .is_some_and(Value::is_null));
     }
 
     #[test]

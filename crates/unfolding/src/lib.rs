@@ -36,7 +36,7 @@ mod occ;
 pub mod order;
 pub mod relations;
 
-pub use builder::{UnfoldError, UnfoldOptions, UnfoldStats};
+pub use builder::{UnfoldError, UnfoldOptions};
 pub use occ::{CondId, CutoffMate, EventId, Prefix};
 pub use order::{OrderKey, OrderStrategy};
 pub use relations::EventRelations;

@@ -5,7 +5,6 @@ use std::fmt;
 use petri::{BitSet, Marking, ParikhVector, PlaceId, TransitionId};
 use stg::{ChangeVec, Label, Stg};
 
-use crate::builder::UnfoldStats;
 use crate::order::OrderKey;
 
 /// Identifier of a condition (occurrence-net place) in a [`Prefix`].
@@ -125,7 +124,6 @@ pub struct Prefix {
     pub(crate) num_cutoffs: usize,
     pub(crate) num_places: usize,
     pub(crate) num_transitions: usize,
-    pub(crate) stats: UnfoldStats,
 }
 
 impl Prefix {
@@ -228,14 +226,6 @@ impl Prefix {
     /// [`OrderStrategy::McMillan`](crate::OrderStrategy::McMillan)).
     pub fn order_key(&self, e: EventId) -> &OrderKey {
         &self.events[e.index()].key
-    }
-
-    /// Counters recorded while this prefix was built: possible
-    /// extensions discovered and committed, the discovery worker
-    /// count, and the wall-clock split between the parallelisable
-    /// discovery phase and the sequential commit loop.
-    pub fn unfold_stats(&self) -> UnfoldStats {
-        self.stats
     }
 
     /// Whether event set `c` is a configuration: causally closed and

@@ -25,11 +25,10 @@
 //! conclusive engine wins). The `usc`/`csc` commands also accept
 //! budget flags: `--timeout-ms N` (wall-clock deadline) and
 //! `--max-events N` (unfolding cap); an exhausted budget yields exit
-//! code 3. Commands that build a prefix (`unfold`, `usc`, `csc`,
-//! `check`) accept `--unfold-threads N` to parallelise
-//! possible-extensions discovery (`0` = auto-detect); the prefix is
-//! bit-identical for every thread count, so this only changes
-//! wall-clock time.
+//! code 3. Every command rejects flags it does not know (exit 2).
+//! Engine runs that go through `CheckRequest` print one line naming
+//! the engine, the deciding member of a composite engine and the
+//! elapsed time, followed by the engine's counters.
 //!
 //! With `--server HOST:PORT` the `usc`/`csc`/`synthesize` commands
 //! ship the job to a running `stgd` instead of working in-process;
@@ -72,8 +71,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stg_coding_conflicts::csc_core::{
-    Artifacts, Budget, CheckOutcome, CheckRequest, Checker, CheckerOptions, Engine, Property,
-    ResourceReport, Verdict,
+    Artifacts, Budget, CheckOutcome, CheckRequest, Checker, Engine, Property, ResourceReport,
+    Verdict,
 };
 use stg_coding_conflicts::lint;
 use stg_coding_conflicts::server::protocol::{engine_from_str, BudgetSpec};
@@ -96,8 +95,7 @@ fn usage() -> String {
     "usage: stgcheck <lint|structure|info|unfold|usc|csc|check|normalcy|deadlock|report|synth|\
      resolve|synthesize|dot|gen> ... \
      [--engine unfolding|explicit|symbolic|cegar|portfolio|race] [--timeout-ms N] [--max-events N] \
-     [--unfold-threads N] [--max-signals N] [--server HOST:PORT] [--format human|json] [--no-lp] \
-     [--to-g]"
+     [--max-signals N] [--server HOST:PORT] [--format human|json] [--no-lp] [--to-g]"
         .to_owned()
 }
 
@@ -110,10 +108,20 @@ fn run(args: &[String]) -> Result<u8, String> {
         println!("{}", usage());
         return Ok(0);
     }
+    let accepted = accepted_flags(command)
+        .ok_or_else(|| format!("unknown command `{command}`; {}", usage()))?;
     if command == "gen" {
+        // Positional family parameters ride along with the flags.
+        let flags: Vec<String> = args[1..]
+            .iter()
+            .filter(|a| a.starts_with("--"))
+            .cloned()
+            .collect();
+        check_flags(&flags, accepted)?;
         return generate(&args[1..]).map(exit_code);
     }
     let path = args.get(1).ok_or_else(usage)?;
+    check_flags(&args[2..], accepted)?;
     let source = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     if command == "lint" {
         // Lint consumes the raw bytes itself so even unparsable input
@@ -147,7 +155,7 @@ fn run(args: &[String]) -> Result<u8, String> {
             print!("{}", stg::dot::to_dot(&model, "stg"));
             Ok(0)
         }
-        other => Err(format!("unknown command `{other}`; {}", usage())),
+        _ => unreachable!("accepted_flags admits only known commands"),
     }
 }
 
@@ -155,21 +163,75 @@ fn exit_code(conflict: bool) -> u8 {
     u8::from(conflict)
 }
 
+/// A flag a command accepts, and whether it takes a value.
+type Flag = (&'static str, bool);
+
+const ENGINE: Flag = ("--engine", true);
+const TIMEOUT: Flag = ("--timeout-ms", true);
+const MAX_EVENTS: Flag = ("--max-events", true);
+const SERVER: Flag = ("--server", true);
+const FORMAT: Flag = ("--format", true);
+const TO_G: Flag = ("--to-g", false);
+
+/// The flags `command` accepts; `None` for an unknown command.
+fn accepted_flags(command: &str) -> Option<&'static [Flag]> {
+    Some(match command {
+        "lint" => &[FORMAT, ("--no-lp", false)],
+        "structure" => &[FORMAT],
+        "unfold" => &[("--dot", false), ("--mcmillan", false)],
+        "usc" | "csc" => &[ENGINE, TIMEOUT, MAX_EVENTS, SERVER],
+        "check" => &[ENGINE, TIMEOUT, MAX_EVENTS],
+        "resolve" => &[TO_G],
+        "synthesize" => &[
+            ENGINE,
+            TIMEOUT,
+            MAX_EVENTS,
+            SERVER,
+            ("--max-signals", true),
+            TO_G,
+        ],
+        "gen" => &[("--resolved", false), TO_G],
+        "info" | "normalcy" | "deadlock" | "report" | "synth" | "dot" => &[],
+        _ => return None,
+    })
+}
+
+/// Rejects any argument in `flags` that is not an accepted flag or the
+/// value of one, and any value-taking flag left without its value.
+fn check_flags(flags: &[String], accepted: &[Flag]) -> Result<(), String> {
+    let mut rest = flags.iter();
+    while let Some(flag) = rest.next() {
+        match accepted.iter().find(|(name, _)| name == flag) {
+            Some((_, true)) if rest.next().is_none() => {
+                return Err(format!("{flag} needs a value"));
+            }
+            Some(_) => {}
+            None if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            None => return Err(format!("unexpected argument `{flag}`")),
+        }
+    }
+    Ok(())
+}
+
+/// The value following flag `name`, when present ([`check_flags`] has
+/// made sure every value-taking flag has one).
+fn flag_value<'f>(flags: &'f [String], name: &str) -> Option<&'f str> {
+    let i = flags.iter().position(|f| f == name)?;
+    flags.get(i + 1).map(String::as_str)
+}
+
+/// Parses `--format human|json`; `true` for JSON.
+fn json_format(flags: &[String]) -> Result<bool, String> {
+    match flag_value(flags, "--format") {
+        None | Some("human") => Ok(false),
+        Some("json") => Ok(true),
+        Some(other) => Err(format!("bad --format {other} (human|json)")),
+    }
+}
+
 /// `stgcheck lint`: the full static pass, no state-space exploration.
 fn lint_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, String> {
-    let json = match flags.iter().position(|f| f == "--format") {
-        None => false,
-        Some(i) => match flags.get(i + 1).map(String::as_str) {
-            Some("json") => true,
-            Some("human") => false,
-            other => {
-                return Err(format!(
-                    "bad --format {} (human|json)",
-                    other.unwrap_or("<missing>")
-                ))
-            }
-        },
-    };
+    let json = json_format(flags)?;
     let options = lint::LintOptions {
         lp: !flags.iter().any(|f| f == "--no-lp"),
         ..Default::default()
@@ -186,19 +248,7 @@ fn lint_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, String> {
 /// `stgcheck structure`: net classes, structural concurrency and the
 /// signal lock relation — purely structural, no state space.
 fn structure_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, String> {
-    let json = match flags.iter().position(|f| f == "--format") {
-        None => false,
-        Some(i) => match flags.get(i + 1).map(String::as_str) {
-            Some("json") => true,
-            Some("human") => false,
-            other => {
-                return Err(format!(
-                    "bad --format {} (human|json)",
-                    other.unwrap_or("<missing>")
-                ))
-            }
-        },
-    };
+    let json = json_format(flags)?;
     let outcome = lint::structure_bytes(source);
     match outcome.report {
         Some(report) => {
@@ -233,66 +283,45 @@ fn structure_cmd(path: &str, source: &[u8], flags: &[String]) -> Result<u8, Stri
 /// Parses `--engine NAME`; `None` when the flag is absent (the local
 /// default is unfolding, the server default is the racing portfolio).
 fn engine_flag(flags: &[String]) -> Result<Option<Engine>, String> {
-    match flags.iter().position(|f| f == "--engine") {
-        None => Ok(None),
-        Some(i) => flags
-            .get(i + 1)
-            .and_then(|name| engine_from_str(name))
-            .map(Some)
-            .ok_or_else(|| {
-                format!(
-                    "bad --engine {} (unfolding|explicit|symbolic|cegar|portfolio|race)",
-                    flags.get(i + 1).map_or("<missing>", String::as_str)
-                )
-            }),
-    }
+    flag_value(flags, "--engine")
+        .map(|name| {
+            engine_from_str(name).ok_or_else(|| {
+                format!("bad --engine {name} (unfolding|explicit|symbolic|cegar|portfolio|race)")
+            })
+        })
+        .transpose()
 }
 
-/// Parses `--server HOST:PORT`.
-fn server_flag(flags: &[String]) -> Result<Option<String>, String> {
-    match flags.iter().position(|f| f == "--server") {
-        None => Ok(None),
-        Some(i) => flags
-            .get(i + 1)
-            .map(|a| Some(a.clone()))
-            .ok_or_else(|| "--server needs a HOST:PORT argument".to_owned()),
-    }
-}
-
-/// Parses `--unfold-threads N`; `None` when the flag is absent. `0`
-/// requests one possible-extensions worker per available CPU; the
-/// prefix is bit-identical for every value.
-fn unfold_threads_flag(flags: &[String]) -> Result<Option<usize>, String> {
-    match flags.iter().position(|f| f == "--unfold-threads") {
-        None => Ok(None),
-        Some(i) => flags
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map(Some)
-            .ok_or_else(|| "--unfold-threads needs a numeric argument".to_owned()),
-    }
+/// Parses an optional `--<name> N` numeric flag.
+fn numeric_flag(flags: &[String], name: &str) -> Result<Option<usize>, String> {
+    flag_value(flags, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name} needs a numeric argument"))
+        })
+        .transpose()
 }
 
 /// Parses `--timeout-ms N` / `--max-events N` into a [`Budget`].
 fn budget_flags(flags: &[String]) -> Result<Budget, String> {
-    let numeric = |name: &str| -> Result<Option<u64>, String> {
-        match flags.iter().position(|f| f == name) {
-            None => Ok(None),
-            Some(i) => flags
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .map(Some)
-                .ok_or_else(|| format!("{name} needs a numeric argument")),
-        }
-    };
     let mut budget = Budget::unlimited();
-    if let Some(ms) = numeric("--timeout-ms")? {
-        budget = budget.with_deadline(Duration::from_millis(ms));
+    if let Some(ms) = numeric_flag(flags, "--timeout-ms")? {
+        budget = budget.with_deadline(Duration::from_millis(ms as u64));
     }
-    if let Some(n) = numeric("--max-events")? {
-        budget = budget.with_max_events(n as usize);
+    if let Some(n) = numeric_flag(flags, "--max-events")? {
+        budget = budget.with_max_events(n);
     }
     Ok(budget)
+}
+
+/// The budget flags in their wire form, for jobs shipped to `stgd`.
+fn budget_spec(flags: &[String]) -> Result<BudgetSpec, String> {
+    let budget = budget_flags(flags)?;
+    Ok(BudgetSpec {
+        timeout_ms: budget.deadline.map(|d| d.as_millis() as u64),
+        max_events: budget.max_events,
+        ..Default::default()
+    })
 }
 
 fn info(model: &Stg) -> Result<bool, String> {
@@ -324,9 +353,8 @@ fn unfold(model: &Stg, flags: &[String]) -> Result<bool, String> {
     } else {
         OrderStrategy::ErvTotal
     };
-    let threads = unfold_threads_flag(flags)?.unwrap_or(1);
-    let prefix = Prefix::of_stg(model, UnfoldOptions::new().order(order).threads(threads))
-        .map_err(|e| e.to_string())?;
+    let prefix =
+        Prefix::of_stg(model, UnfoldOptions::new().order(order)).map_err(|e| e.to_string())?;
     if flags.iter().any(|f| f == "--dot") {
         print!("{}", unfolding::dot::to_dot(&prefix, model, "prefix"));
     } else {
@@ -341,20 +369,15 @@ fn unfold(model: &Stg, flags: &[String]) -> Result<bool, String> {
 }
 
 fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, String> {
-    if let Some(addr) = server_flag(flags)? {
-        return remote_coding(&addr, model, property, flags);
+    if let Some(addr) = flag_value(flags, "--server") {
+        return remote_coding(addr, model, property, flags);
     }
     let engine = engine_flag(flags)?.unwrap_or(Engine::UnfoldingIlp);
     let budget = budget_flags(flags)?;
-    let threads = unfold_threads_flag(flags)?;
     let unbudgeted = budget.deadline.is_none() && budget.max_events.is_none();
     if engine == Engine::UnfoldingIlp && unbudgeted {
         // Use the full checker so we can print witnesses.
-        let mut options = CheckerOptions::default();
-        if let Some(n) = threads {
-            options.unfold = options.unfold.threads(n);
-        }
-        let checker = Checker::with_options(model, options).map_err(|e| e.to_string())?;
+        let checker = Checker::new(model).map_err(|e| e.to_string())?;
         let outcome = match property {
             Property::Usc => checker.check_usc(),
             Property::Csc => checker.check_csc(),
@@ -372,13 +395,11 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
             }
         }
     } else {
-        let mut request = CheckRequest::new(model, property)
+        let run = CheckRequest::new(model, property)
             .engine(engine)
-            .budget(budget);
-        if let Some(n) = threads {
-            request = request.unfold_threads(n);
-        }
-        let run = request.run().map_err(|e| e.to_string())?;
+            .budget(budget)
+            .run()
+            .map_err(|e| e.to_string())?;
         let code = match run.verdict {
             Verdict::Holds => {
                 println!("{property:?}: satisfied");
@@ -389,34 +410,23 @@ fn coding(model: &Stg, property: Property, flags: &[String]) -> Result<u8, Strin
                 1
             }
             Verdict::Unknown(reason) => {
-                println!(
-                    "{property:?}: UNKNOWN ({reason}) after {:?} [engine {}]",
-                    run.report.elapsed, run.report.engine
-                );
+                println!("{property:?}: UNKNOWN ({reason})");
                 3
             }
         };
-        print_bdd_stats(&run.report);
+        print_report(&run.report);
         Ok(code)
     }
 }
 
-/// Prints the BDD manager counters when the run touched the symbolic
-/// stage (peak/live nodes, collections, sifting passes).
-fn print_bdd_stats(report: &ResourceReport) {
-    if let Some(stats) = &report.unfold {
-        if stats.workers > 1 {
-            println!(
-                "  unfold: {} extension(s) discovered over {} commit(s) by {} worker(s), \
-                 {:?} parallel / {:?} sequential",
-                stats.pe_discovered,
-                stats.pe_commits,
-                stats.workers,
-                stats.par_time,
-                stats.serial_time
-            );
-        }
-    }
+/// Prints who decided and how long it took — the engine, the member
+/// of a composite engine whose verdict was adopted, the elapsed time —
+/// then the BDD and CEGAR counters of the stages the run touched.
+fn print_report(report: &ResourceReport) {
+    let winner = report
+        .winner
+        .map_or(String::new(), |w| format!(", winner {w}"));
+    println!("  engine {}{winner}, {:?}", report.engine, report.elapsed);
     if let Some(stats) = &report.bdd {
         println!(
             "  bdd: {} peak live nodes ({} live at end), {} gc run(s), {} reorder pass(es)",
@@ -444,40 +454,34 @@ fn print_bdd_stats(report: &ResourceReport) {
 fn check_all(model: &Stg, flags: &[String]) -> Result<u8, String> {
     let engine = engine_flag(flags)?.unwrap_or(Engine::UnfoldingIlp);
     let budget = budget_flags(flags)?;
-    let threads = unfold_threads_flag(flags)?;
     let artifacts = Artifacts::of(model);
     let mut worst = 0u8;
     for property in [Property::Usc, Property::Csc, Property::Normalcy] {
-        let mut request = CheckRequest::new(model, property)
+        let run = CheckRequest::new(model, property)
             .engine(engine)
             .budget(budget.clone())
-            .artifacts(&artifacts);
-        if let Some(n) = threads {
-            request = request.unfold_threads(n);
-        }
-        let run = request.run().map_err(|e| e.to_string())?;
+            .artifacts(&artifacts)
+            .run()
+            .map_err(|e| e.to_string())?;
         let built = run
             .report
             .prefix_events_built
-            .map_or(String::new(), |n| format!(", prefix built {n}"));
+            .map_or(String::new(), |n| format!(" [prefix built {n}]"));
         let code = match run.verdict {
             Verdict::Holds => {
-                println!("{property:?}: satisfied [{:?}{built}]", run.report.elapsed);
+                println!("{property:?}: satisfied{built}");
                 0
             }
             Verdict::Violated(_) => {
-                println!("{property:?}: CONFLICT [{:?}{built}]", run.report.elapsed);
+                println!("{property:?}: CONFLICT{built}");
                 1
             }
             Verdict::Unknown(reason) => {
-                println!(
-                    "{property:?}: UNKNOWN ({reason}) [{:?}{built}]",
-                    run.report.elapsed
-                );
+                println!("{property:?}: UNKNOWN ({reason}){built}");
                 3
             }
         };
-        print_bdd_stats(&run.report);
+        print_report(&run.report);
         // Conflicts dominate inconclusive results, which dominate ok.
         worst = match (worst, code) {
             (1, _) | (_, 1) => 1,
@@ -497,12 +501,7 @@ fn remote_coding(
     flags: &[String],
 ) -> Result<u8, String> {
     let engine = engine_flag(flags)?;
-    let budget = budget_flags(flags)?;
-    let spec = BudgetSpec {
-        timeout_ms: budget.deadline.map(|d| d.as_millis() as u64),
-        max_events: budget.max_events,
-        ..Default::default()
-    };
+    let spec = budget_spec(flags)?;
     let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     // Retry transient failures (load shedding, a crashed worker, a
     // dropped connection) with backoff; check jobs are idempotent.
@@ -638,22 +637,10 @@ fn resolve_cmd(model: &Stg, flags: &[String]) -> Result<bool, String> {
     }
 }
 
-/// Parses an optional `--<name> N` numeric flag.
-fn numeric_flag(flags: &[String], name: &str) -> Result<Option<usize>, String> {
-    match flags.iter().position(|f| f == name) {
-        None => Ok(None),
-        Some(i) => flags
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs a numeric argument")),
-    }
-}
-
 /// `stgcheck synthesize`: the full pipeline, locally or via `stgd`.
 fn synthesize_cmd(model: &Stg, flags: &[String]) -> Result<u8, String> {
-    if let Some(addr) = server_flag(flags)? {
-        return remote_synthesize(&addr, model, flags);
+    if let Some(addr) = flag_value(flags, "--server") {
+        return remote_synthesize(addr, model, flags);
     }
     use stg_coding_conflicts::csc_core::PipelineOutcome;
     use stg_coding_conflicts::resolve::{synthesize, SynthesisOptions};
@@ -741,12 +728,7 @@ fn synthesize_cmd(model: &Stg, flags: &[String]) -> Result<u8, String> {
 /// Ships the synthesis to a running `stgd`.
 fn remote_synthesize(addr: &str, model: &Stg, flags: &[String]) -> Result<u8, String> {
     let engine = engine_flag(flags)?;
-    let budget = budget_flags(flags)?;
-    let spec = BudgetSpec {
-        timeout_ms: budget.deadline.map(|d| d.as_millis() as u64),
-        max_events: budget.max_events,
-        ..Default::default()
-    };
+    let spec = budget_spec(flags)?;
     let max_signals = numeric_flag(flags, "--max-signals")?;
     let to_g = flags.iter().any(|f| f == "--to-g");
     let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;

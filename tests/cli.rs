@@ -37,10 +37,36 @@ fn info_and_unfold() {
 
 #[test]
 fn engines_give_same_verdict() {
-    for engine in ["unfolding", "explicit", "symbolic"] {
+    for engine in ["unfolding", "explicit", "symbolic", "race"] {
         let out = stgcheck(&["usc", "assets/vme_read.g", "--engine", engine]);
         assert_eq!(out.status.code(), Some(1), "engine {engine}");
     }
+    // The race names who decided and how long it took.
+    let out = stgcheck(&["csc", "assets/vme_read.g", "--engine", "race"]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = stdout(&out);
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("engine race, winner "))
+        .unwrap_or_else(|| panic!("no engine line in {text:?}"));
+    let winner = line
+        .trim_start()
+        .trim_start_matches("engine race, winner ")
+        .split(',')
+        .next()
+        .expect("winner name");
+    assert!(
+        [
+            "unfolding-ilp",
+            "explicit",
+            "symbolic",
+            "cegar",
+            "lint",
+            "structure"
+        ]
+        .contains(&winner),
+        "{line}"
+    );
 }
 
 #[test]
@@ -82,6 +108,25 @@ fn errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = stgcheck(&[]);
     assert_eq!(out.status.code(), Some(2));
+    // Unknown flags are rejected instead of silently ignored.
+    for args in [
+        &[
+            "csc",
+            "assets/vme_read.g",
+            "--engine",
+            "race",
+            "--timeout",
+            "1",
+        ][..],
+        &["csc", "assets/vme_read.g", "--unfold-threads", "2"][..],
+    ] {
+        let out = stgcheck(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

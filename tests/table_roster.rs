@@ -73,3 +73,41 @@ fn roster_prefixes_represent_all_markings() {
         assert_eq!(represented.len(), sg.num_states(), "{}", model.name);
     }
 }
+
+#[test]
+fn roster_prefix_sizes_match_table1() {
+    // (|B|, |E|, |E_cut|) under the default ERV order, as in
+    // `table1.json`.
+    let expected = [
+        ("LAZYRING", (17, 16, 1)),
+        ("RING", (69, 43, 1)),
+        ("DUP-4PH-A", (13, 10, 1)),
+        ("DUP-4PH-B", (25, 18, 1)),
+        ("DUP-4PH-MTR-A", (35, 24, 1)),
+        ("DUP-4PH-MTR-B", (45, 30, 1)),
+        ("DUP-MOD-A", (13, 12, 1)),
+        ("DUP-MOD-B", (21, 20, 1)),
+        ("DUP-MOD-C", (29, 28, 1)),
+        ("CF-SYM-A-CSC", (18, 14, 1)),
+        ("CF-SYM-B-CSC", (27, 20, 1)),
+        ("CF-SYM-C-CSC", (26, 22, 1)),
+        ("CF-SYM-D-CSC", (28, 18, 1)),
+        ("CF-ASYM-A-CSC", (27, 20, 1)),
+        ("CF-ASYM-B-CSC", (40, 30, 1)),
+    ];
+    let roster = models();
+    assert_eq!(roster.len(), expected.len());
+    for (model, (name, sizes)) in roster.iter().zip(expected) {
+        assert_eq!(model.name, name);
+        let prefix = Prefix::of_stg(&model.stg, UnfoldOptions::default()).unwrap();
+        assert_eq!(
+            (
+                prefix.num_conditions(),
+                prefix.num_events(),
+                prefix.num_cutoffs()
+            ),
+            sizes,
+            "{name}"
+        );
+    }
+}
